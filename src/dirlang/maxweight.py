@@ -1,17 +1,25 @@
-"""Maximum-weight ideal extraction via max-plus matrix powers.
+"""Maximum-weight ideal extraction over normalized ideal automata.
 
 A normalized reduced ideal automaton is acyclic apart from an epsilon
-self-loop on its unique final state, and carries at most one edge per state
-pair.  With m states, every accepted representation has fewer than m atoms,
-so the m-th max-plus power of the edge-weight matrix already contains, for
-every state, the maximum weight of any path to the final state.  Weights
-are arbitrary-precision integers; "minus infinity" is an explicit None,
-never a sentinel number.
+self-loop on its unique final state, carries at most one edge per state
+pair, and numbers its states in topological order with the final state
+last.  With m states, every accepted representation has fewer than m atoms,
+and atoms are weighed by mu_m.  One reverse pass over the states then gives,
+for every state, the maximum weight of any path to the final state, and a
+forward walk along maximizing edges reads off the canonical representation.
+Both are linear in the number of edges and iterative, so long automata do
+not meet the recursion limit.  Weights are arbitrary-precision integers;
+"minus infinity" is an explicit None, never a sentinel number.
+
+The paper computes the same maxima as the m-th max-plus power of the
+edge-weight matrix; that formulation serves its AC^1 upper bound for NFAs
+and is not used here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from dirlang import automata
 from dirlang.ideals import Atom, IdealRep, atom_weight, format_atom
@@ -24,12 +32,14 @@ def label_weight(label, k: int) -> int:
 
 @dataclass(frozen=True)
 class NormalizedIdealNfa:
-    """Reduced ideal automaton in matrix-ready shape.
+    """Reduced ideal automaton in topological shape.
 
     State 0 is initial, state m-1 the unique final one; states are in
-    topological order; ``edges`` maps (i, j) to the single surviving label;
-    ``merged_away`` lists (i, j, atom) for parallel edges dropped during
-    normalization (they matter when counting, not when maximizing).
+    topological order, so every edge except the final epsilon self-loop goes
+    from a lower to a higher index; ``edges`` maps (i, j) to the single
+    surviving label; ``merged_away`` lists (i, j, atom) for parallel edges
+    dropped during normalization (they matter when counting, not when
+    maximizing).
     """
 
     m: int
@@ -45,8 +55,13 @@ class NormalizedIdealNfa:
     def final(self) -> int:
         return self.m - 1
 
-    def successors(self, i: int):
-        return sorted((j, x) for ((s, j), x) in self.edges.items() if s == i)
+    @cached_property
+    def out_edges(self) -> tuple:
+        """Per state, its (successor, label) pairs by ascending successor."""
+        out = [[] for _ in range(self.m)]
+        for (i, j), x in sorted(self.edges.items()):
+            out[i].append((j, x))
+        return tuple(tuple(o) for o in out)
 
 
 def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
@@ -54,7 +69,9 @@ def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
 
     Parallel edges are merged keeping the maximum-weight atom (ties go to
     the lexicographically least serialized form); an already-normalized
-    input comes back unchanged up to state renaming.
+    input comes back unchanged up to state renaming.  Any cycle, a
+    self-loop included, other than the final epsilon self-loop of an
+    already-normalized input is rejected.
     """
     n = automata.trim(n)
     already = False
@@ -68,8 +85,6 @@ def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
         final = next(iter(n.finals))
         names = list(n.names) if n.names is not None else [n.state_name(q) for q in range(n.n_states)]
     else:
-        if not automata.is_acyclic(n):
-            raise ValueError("normalize needs an acyclic ideal automaton")
         final = n.n_states
         work_states = n.n_states + 1
         work_trans = list(n.transitions)
@@ -78,9 +93,14 @@ def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
         work_trans.append((final, None, final))
         names = [n.state_name(q) for q in range(n.n_states)] + ["fin"]
 
+    final_loop = (final, None, final)
     helper = automata.Nfa(tuple(n.alphabet), work_states, n.initial,
-                          frozenset((final,)), tuple(work_trans))
-    order = automata.topological_order(helper, ignore_self_loops=True)
+                          frozenset((final,)),
+                          tuple(t for t in work_trans if t != final_loop))
+    try:
+        order = automata.topological_order(helper, ignore_self_loops=False)
+    except ValueError:
+        raise ValueError("normalize needs an acyclic ideal automaton") from None
     order.remove(final)
     order.append(final)  # the final state is the unique sink; force it last
     if order[0] != n.initial:
@@ -102,77 +122,29 @@ def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
                               tuple(names[q] for q in order))
 
 
-NEG_INF = None
-
-
-@dataclass(frozen=True)
-class MaxPlusMatrix:
-    """Square matrix over (max, +) with None as minus infinity."""
-
-    n: int
-    rows: tuple
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def mul(self, other: "MaxPlusMatrix") -> "MaxPlusMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.n):
-            acc = [None] * self.n
-            row = self.rows[i]
-            for k in range(self.n):
-                w = row[k]
-                if w is None:
-                    continue
-                bk = other.rows[k]
-                acc = [a if v is None else (w + v if a is None or w + v > a else a)
-                       for a, v in zip(acc, bk)]
-            out.append(tuple(acc))
-        return MaxPlusMatrix(self.n, tuple(out))
-
-    @staticmethod
-    def identity(n: int) -> "MaxPlusMatrix":
-        return MaxPlusMatrix(n, tuple(tuple(0 if i == j else None for j in range(n))
-                                      for i in range(n)))
-
-
-def matrix_of(norm: NormalizedIdealNfa, m: int) -> MaxPlusMatrix:
-    """Edge-weight matrix with mu_m weights; requires m >= state count."""
-    if m < norm.m:
-        raise ValueError(f"weight parameter m={m} below state count {norm.m}")
-    rows = [[None] * norm.m for _ in range(norm.m)]
-    for (i, j), x in norm.edges.items():
-        rows[i][j] = label_weight(x, m)
-    return MaxPlusMatrix(norm.m, tuple(tuple(r) for r in rows))
-
-
-def matpow(mat: MaxPlusMatrix, p: int) -> MaxPlusMatrix:
-    """p-th max-plus power by repeated squaring (p >= 0; 0 is the identity)."""
-    if p < 0:
-        raise ValueError("negative matrix power")
-    result = MaxPlusMatrix.identity(mat.n)
-    base = mat
-    while p:
-        if p & 1:
-            result = result.mul(base)
-        p >>= 1
-        if p:
-            base = base.mul(base)
-    return result
-
-
 def suffix_maxima(norm: NormalizedIdealNfa) -> tuple:
     """For every state s the maximum mu_m path weight from s to the final
-    state, with m = the state count.
+    state, with m = the state count; None where the final state is out of
+    reach.
 
-    Computed as the final column of the m-th power of the weight matrix: the
-    final state's epsilon self-loop pads shorter paths to length m, and no
-    simple path is longer.
+    One pass in reverse topological order: every successor of a state has a
+    higher index, so its maximum is known when the state is reached.  The
+    final state's epsilon self-loop is never relaxed.
     """
-    power = matpow(matrix_of(norm, norm.m), norm.m)
-    return tuple(power.rows[s][norm.final] for s in range(norm.m))
+    m = norm.m
+    out = norm.out_edges
+    best = [None] * m
+    best[norm.final] = 0
+    for s in range(m - 2, -1, -1):
+        got = None
+        for (j, x) in out[s]:
+            rest = best[j]
+            if rest is not None:
+                w = label_weight(x, m) + rest
+                if got is None or w > got:
+                    got = w
+        best[s] = got
+    return tuple(best)
 
 
 def extract_canonical_path(norm: NormalizedIdealNfa, maxima) -> IdealRep:
@@ -185,6 +157,7 @@ def extract_canonical_path(norm: NormalizedIdealNfa, maxima) -> IdealRep:
     """
     if maxima[norm.initial] is None:
         raise ValueError("automaton accepts no representation (empty language)")
+    out = norm.out_edges
     rep = []
     i = norm.initial
     guard = 0
@@ -192,8 +165,8 @@ def extract_canonical_path(norm: NormalizedIdealNfa, maxima) -> IdealRep:
         best = None
         best_j = None
         best_label = None
-        for (j, x) in norm.successors(i):
-            if j == i or maxima[j] is None:
+        for (j, x) in out[i]:
+            if maxima[j] is None:
                 continue
             cand = label_weight(x, norm.m) + maxima[j]
             if best is None or cand > best:

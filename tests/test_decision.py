@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dirlang import automata, decision, grammars, ideals, oracle, slp
+from dirlang import automata, decision, grammars, ideals, maxweight, oracle, slp
 from dirlang.errors import ResourceCapExceeded
 
 from conftest import nonempty, random_cfg, random_nfa, random_reduced_rep
@@ -116,6 +116,122 @@ def test_nfa_directed_matches_bruteforce():
         a = random_nfa(rng, max_states=4, letters=("a", "b"))
         assert decision.nfa_directed(a).directed \
             == oracle.directed_bruteforce(a), automata.format_nfa(a)
+
+
+DAG_LETTERS = ("a", "b", "c", "d", "e", "f")
+
+
+def random_dag_nfa(rng, n, parts=3):
+    """A partially ordered automaton of parts * n + 2 states: the initial
+    state enters `parts` random pieces of n states, whose last states lead
+    to the one final state.  Each piece has a local edge into nearly every
+    state, 1.5n forward edges of any length and self-loops on about half
+    of its states."""
+    trans = set()
+    final = parts * n + 1
+    for i in range(parts):
+        first = 1 + i * n
+        for q in range(1, n):
+            p = rng.randrange(max(0, q - 4), q)
+            x = None if rng.random() < 0.05 else rng.choice(DAG_LETTERS)
+            trans.add((first + p, x, first + q))
+        for _ in range(3 * n // 2):
+            p = rng.randrange(n - 1)
+            trans.add((first + p, rng.choice(DAG_LETTERS),
+                       first + rng.randrange(p + 1, n)))
+        for q in range(n):
+            if rng.random() < 0.5:
+                for x in rng.sample(DAG_LETTERS, rng.randint(1, 3)):
+                    trans.add((first + q, x, first + q))
+        trans.add((0, rng.choice(DAG_LETTERS), first))
+        trans.add((first + n - 1, rng.choice(DAG_LETTERS), final))
+    return automata.make_nfa(DAG_LETTERS, final + 1, 0, [final], trans)
+
+
+def chain_with_detours(rng, k, detours):
+    """A chain 0 -x0-> 1 ... k with random self-loop letter sets, plus
+    detours through fresh states that read only letters of one loop they
+    bypass.  Every detour word embeds into that loop's star, so the
+    language is directed and its closure is the chain's own ideal, which
+    is returned reduced with the automaton."""
+    loops = [tuple(sorted(rng.sample(DAG_LETTERS, rng.randint(1, 3))))
+             if rng.random() < 0.7 else () for _ in range(k + 1)]
+    chain = [rng.choice(DAG_LETTERS) for _ in range(k)]
+    trans = {(i, chain[i], i + 1) for i in range(k)}
+    for i, letters in enumerate(loops):
+        trans.update((i, x, i) for x in letters)
+    n = k + 1
+    for _ in range(detours):
+        m = rng.randrange(1, k)
+        if not loops[m]:
+            continue
+        i = rng.randrange(0, m)
+        j = rng.randrange(m + 1, min(k, m + 4) + 1)
+        d = n
+        n += 1
+        trans.add((i, rng.choice(loops[m]), d))
+        trans.add((d, rng.choice(loops[m]), j))
+        trans.update((d, x, d) for x in
+                     rng.sample(loops[m], rng.randint(0, len(loops[m]))))
+    ideal = []
+    for i in range(k + 1):
+        if loops[i]:
+            ideal.append(ideals.star(*loops[i]))
+        if i < k:
+            ideal.append(ideals.Single(chain[i]))
+    return (automata.make_nfa(DAG_LETTERS, n, 0, [k], trans),
+            ideals.reduce_rep(tuple(ideal)))
+
+
+# (seed, states, candidate, witness) of random_dag_nfa(rng, 13..26).  They
+# were recorded with the paper's max-plus matrix power, so they pin the
+# reverse pass to the same maxima and tie-breaks, byte for byte.
+NFA_DAG_GOLDEN = [
+    (4000, 59, 'd? {b,c,e}* {a,e}* f? {d}* {a,e,f}* d? a? {e,f}* {a,b,d}* c? {e}*', 'adbf'),
+    (4001, 59, '{a,c,d}* e? {a,b,f}* {a,e,f}* {d,e}* a? d? f? {a,b}* c? e?', 'baca'),
+    (4002, 71, 'c? a? {b,d,e}* {f}* a? {c,d}* {b,d,e}* {a,d,e}* {b,d,f}* {a,b,f}* d? e? {a,d}* e?', 'fbc'),
+    (4003, 71, 'c? d? {b,c,f}* {a,c,f}* b? {d,e}* b? {a,e,f}* b? {a,d,f}* c? e?', 'abca'),
+    (4004, 62, 'b? {f}* b? b? {d,f}* a? {c,d,f}* {a,c,e}* {b,c}* a? {d}* c? b? {a,d,e}* b? e?', 'ef'),
+    (4005, 74, 'b? {a,c,e}* {c,d,e}* {a,e,f}* c? c? {a,b,e}* d? {a,f}* b? b? {a,c,d}* b? a? {b,c,d}* e?', 'abcf'),
+    (4006, 65, 'e? {b,c,f}* d? e? e? {c}* a? d? c? {d}* {a}* d? c? {b,e,f}* a? {c,d,e}* a?', 'abab'),
+    (4007, 47, 'd? {f}* a? {c,d}* b? {a,c,f}* d? d? {c}* d? {b,e}* {b,c,d}* {b,c,f}* e? {a,c,d}*', 'aeab'),
+    (4008, 65, 'b? f? {c}* a? a? e? e? {a,f}* {b,c}* e? {d}* b? b? {a,d,f}* c? c? {b,d}* a? {d,e}* b? {d,e}*', 'dcf'),
+    (4009, 62, 'a? {b,c,e}* a? {d,f}* b? a? e? c? {a,b,e}* c? c? {e}* a? a? f? {a,c,e}* f? b?', 'aabd'),
+    (4010, 74, '{e,f}* {c,d,e}* {a,d,f}* e? e? {b,c,f}* {b,c,d}* {b,e}* a? {c,e,f}* d? {c}* b? {a,c,d}* e? {b,d,f}* {a,d,e}* b?', 'abaabc'),
+    (4011, 41, 'c? b? {d}* {e,f}* a? c? d? {b,e,f}* {c}* f? {b,c,d}*', 'aa'),
+    (4012, 77, 'e? a? {e}* {c,d,f}* {a,e,f}* {a,d}* {a,c}* {c,d,e}* a? c? b? {a,d,f}* b? a?', 'bc'),
+    (4013, 77, 'e? {a,c,d}* {c,e,f}* b? c? b? {a,c,e}* f? d? a? c? {b,f}* d? {a}* b?', 'bde'),
+    (4014, 80, '{a,b,c}* e? {f}* e? {a}* c? {b,d,f}* {a}* {d}* {a}* c? {b,f}* {a,c,e}* f? {b,c}* {a,d,f}* c? f?', 'adcdb'),
+    (4015, 68, 'e? b? {d,e,f}* b? b? e? {a,b,d}* e? d? {a,b,e}* f? {a,e}* f? b? a? d? d?', 'c'),
+    (4016, 50, 'f? {b,c,d}* {d,f}* b? {e}* c? {f}* {e}* {a,b,c}* d? {b,e}* c? a? b?', 'abf'),
+    (4017, 80, 'f? {e}* c? f? a? {b,c,f}* {b,e,f}* {b,c,d}* {c,e}* f? {c,e}* {f}* d? a? {b,d,e}* c?', 'aaa'),
+    (4018, 59, '{a,d,f}* {b}* c? d? f? {b,d,e}* f? {a,c,d}* {e,f}* c? c?', 'bab'),
+    (4019, 53, 'b? {d,f}* a? e? {b,d,f}* a? {e}* {a,b,c}* d? e? e?', 'cf'),
+]
+
+
+@pytest.mark.parametrize("seed,states,candidate,witness", NFA_DAG_GOLDEN,
+                         ids=[str(g[0]) for g in NFA_DAG_GOLDEN])
+def test_nfa_directed_golden_dags(seed, states, candidate, witness):
+    rng = random.Random(seed)
+    a = random_dag_nfa(rng, rng.randint(13, 26))
+    assert a.n_states == states
+    v = decision.nfa_directed(a)
+    assert not v.directed
+    assert ideals.format_rep(v.candidate) == candidate
+    assert ideals.format_word(v.witness) == witness
+
+
+def test_nfa_directed_long_chain():
+    # a normalized automaton of thousands of states: the maximum-weight
+    # pass and the canonical walk must be linear and iterative
+    rng = random.Random(4200)
+    a, ideal = chain_with_detours(rng, 600, 300)
+    red = decision.nfa_reduced_automaton(a)
+    assert maxweight.normalize(red).m >= 2000
+    v = decision.nfa_directed(a)
+    assert v.directed and v.witness is None
+    assert v.candidate == ideal
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -48,6 +48,15 @@ def test_normalize_rejects_cycles():
         maxweight.normalize(a)
 
 
+def test_normalize_rejects_self_loop_beside_final_epsilon_loop():
+    # the single final state already carries its epsilon self-loop, so the
+    # fresh-final branch is skipped; the atom loop on state 1 must still fail
+    a = automata.make_nfa([A], 3, 0, [2],
+                          [(0, A, 1), (1, A, 1), (1, None, 2), (2, None, 2)])
+    with pytest.raises(ValueError, match="acyclic ideal automaton"):
+        maxweight.normalize(a)
+
+
 def test_suffix_maxima_and_extraction_known_dag():
     # diamond: the star path outweighs the two-singles path at any m >= 1
     a = atom_nfa(4, [3], [(0, A, 1), (1, B, 3), (0, SAB, 2), (2, None, 3)])
@@ -75,13 +84,13 @@ def test_extraction_empty_language():
         maxweight.normalize(automata.trim(a))
 
 
-def test_matpow_against_bruteforce_longest_path():
+def test_suffix_maxima_against_bruteforce_longest_path():
     rng = random.Random(700)
     atoms = (A, B, SA, SAB, None)
-    for _ in range(80):
-        n = rng.randint(2, 6)
+    for n_max, t_max in [(6, 10)] * 80 + [(30, 60)] * 40:
+        n = rng.randint(2, n_max)
         trans = []
-        for _ in range(rng.randint(1, 10)):
+        for _ in range(rng.randint(1, t_max)):
             p = rng.randrange(n - 1)
             q = rng.randrange(p + 1, n)
             trans.append((p, rng.choice(atoms), q))
@@ -103,17 +112,7 @@ def test_matpow_against_bruteforce_longest_path():
                         got = w
             if got is not None:
                 best[s] = got
-        assert maxima[norm.initial] == best[norm.initial]
+        assert maxima == tuple(best.get(s) for s in range(norm.m))
         rep = maxweight.extract_canonical_path(norm, maxima)
         assert sum(maxweight.label_weight(x, norm.m) for x in rep) \
             == maxima[norm.initial]
-
-
-def test_max_plus_matrix_identity_and_mul():
-    ident = maxweight.MaxPlusMatrix.identity(3)
-    m = maxweight.MaxPlusMatrix(3, ((0, 5, None), (None, 0, 2), (None, None, 0)))
-    assert m.mul(ident).rows == m.rows
-    assert ident.mul(m).rows == m.rows
-    sq = m.mul(m)
-    assert sq[0, 2] == 7  # 5 + 2 through the middle
-    assert maxweight.matpow(m, 0).rows == ident.rows
