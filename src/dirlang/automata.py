@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from dirlang.errors import ResourceCapExceeded
 from dirlang.ideals import (
     AlphabetStar,
-    Atom,
     IdealRep,
     Single,
     check_letter,
@@ -355,70 +354,57 @@ def enumerate_path_ideals(n: Nfa, cap: int = ENUMERATE_DEFAULT_CAP) -> list[Idea
     Returns reduced representations, deduplicated and sorted.  Raises
     ResourceCapExceeded when more than ``cap`` paths would be walked.
     """
-    if not is_acyclic(n):
-        raise ValueError("enumerate_path_ideals needs an acyclic automaton")
-    t = trim(n)
-    if not t.finals:
-        return []
-    succ = {q: [] for q in range(t.n_states)}
-    for (p, x, q) in t.transitions:
-        succ[p].append((x, q))
-    for q in succ:
-        succ[q].sort(key=lambda e: (label_key(e[0]), e[1]))
-    paths = 0
-    out: set[IdealRep] = set()
-    stack: list[Atom] = []
-
-    def walk(q: int):
-        nonlocal paths
-        if q in t.finals:
-            paths += 1
-            if paths > cap:
-                raise ResourceCapExceeded(f"more than {cap} accepting paths")
-            out.add(reduce_rep(tuple(stack)))
-        for (x, r) in succ[q]:
-            if x is not None:
-                stack.append(x)
-            walk(r)
-            if x is not None:
-                stack.pop()
-
-    walk(t.initial)
-    return sorted(out, key=lambda rep: (len(rep), tuple(map(format_atom, rep))))
+    reps = {reduce_rep(w) for w in _path_words(n, cap)}
+    return sorted(reps, key=lambda rep: (len(rep), tuple(map(format_atom, rep))))
 
 
 def enumerate_path_words(n: Nfa, cap: int = ENUMERATE_DEFAULT_CAP) -> list[tuple]:
     """All raw label words along accepting paths (no reduction, deduplicated)."""
+    return sorted(_path_words(n, cap), key=lambda w: (len(w), tuple(map(sym_key, w))))
+
+
+def _path_words(n: Nfa, cap: int) -> set[tuple]:
+    """The label words of the accepting paths of an acyclic automaton.
+
+    Depth-first with an explicit stack, so path length is not bounded by
+    the recursion limit.  Raises ResourceCapExceeded when more than ``cap``
+    accepting paths would be walked.
+    """
     if not is_acyclic(n):
-        raise ValueError("enumerate_path_words needs an acyclic automaton")
+        raise ValueError("path enumeration needs an acyclic automaton")
     t = trim(n)
     if not t.finals:
-        return []
-    succ = {q: [] for q in range(t.n_states)}
-    for (p, x, q) in t.transitions:
-        succ[p].append((x, q))
+        return set()
+    succ = t.successors()
     for q in succ:
         succ[q].sort(key=lambda e: (label_key(e[0]), e[1]))
     paths = 0
     out: set[tuple] = set()
-    stack = []
+    word: list = []
+    frames: list = []  # per path state: (its edges left, whether it read a label)
 
-    def walk(q: int):
+    def enter(q: int, x) -> None:
         nonlocal paths
+        if x is not None:
+            word.append(x)
         if q in t.finals:
             paths += 1
             if paths > cap:
                 raise ResourceCapExceeded(f"more than {cap} accepting paths")
-            out.add(tuple(stack))
-        for (x, r) in succ[q]:
-            if x is not None:
-                stack.append(x)
-            walk(r)
-            if x is not None:
-                stack.pop()
+            out.add(tuple(word))
+        frames.append((iter(succ[q]), x is not None))
 
-    walk(t.initial)
-    return sorted(out, key=lambda w: (len(w), tuple(map(sym_key, w))))
+    enter(t.initial, None)
+    while frames:
+        (edges, read) = frames[-1]
+        edge = next(edges, None)
+        if edge is not None:
+            enter(edge[1], edge[0])
+        else:
+            frames.pop()
+            if read:
+                word.pop()
+    return out
 
 
 PAD_LETTER = "#"

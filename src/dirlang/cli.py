@@ -2,8 +2,10 @@
 
 Exit codes: 0 the query was answered (yes, where boolean), 1 answered "no"
 (not directed / not included / not equal), 2 usage or parse error, 3 a
-resource cap was exceeded.  ``--json`` emits a single record with fixed
-fields; ``millis`` is the only field that varies between identical runs.
+resource cap was exceeded, 4 an internal error (a bug, reported on one
+stderr line without a traceback).  ``--json`` emits a single record with
+fixed fields; ``millis`` is the only field that varies between identical
+runs.
 """
 
 from __future__ import annotations
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug; never let it read as exit 1, "no"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if args.json:
         out = {"kind": args.command, "input": _input_of(args),
                "directed": record.get("directed"),

@@ -9,11 +9,18 @@ embedding DFA.  The grammar pipeline mirrors this with an acyclic atom
 grammar and a compressed candidate; inclusion expands the candidate when
 its value is small and otherwise walks the compressed value with a memoized
 cursor search that never materializes it.
+
+Every grammar-times-automaton product here is the one demand-driven
+product of ``grammars.product_exits``: the expanded inclusion check runs
+it against the embedding DFA, and ``membership_grammar`` applies a
+pair-letter automaton, read as a transducer, through
+``transducers.apply_to_cfg``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -153,15 +160,7 @@ def nfa_included_in_ideal(a: automata.Nfa, v: IdealRep,
     a = automata.validate(a)
     dfa = build_embedding_dfa(v)
     succ = a.successors()
-    step_memo: dict = {}
-
-    def step(d: int, x) -> int:
-        key = (d, x)
-        got = step_memo.get(key)
-        if got is None:
-            got = dfa.step(d, x)
-            step_memo[key] = got
-        return got
+    step = functools.cache(dfa.step)
 
     def is_goal(p: int, d: int) -> bool:
         return d == dfa.sink and p in a.finals
@@ -358,58 +357,13 @@ def cfg_directed(g: grammars.Cfg, want_witness: bool = True,
 
 def _cfg_inclusion_expanded(h: grammars.Cfg, v: IdealRep,
                             want_witness: bool) -> Inclusion:
-    """Lazy product of a CNF grammar with the embedding DFA of v.
-
-    exits[(A, p)] collects every DFA state reachable by reading some word
-    derived from A starting at p; only demanded pairs are evaluated.  The
-    language escapes the ideal iff the sink is an exit of the start pair.
-    """
+    """Product of a CNF grammar with the embedding DFA of v: the language
+    escapes the ideal iff the sink is an exit of the start pair."""
     dfa = build_embedding_dfa(v)
-    by_head = h.by_head()
-    step_memo: dict = {}
-
-    def step(p: int, x) -> int:
-        key = (p, x)
-        got = step_memo.get(key)
-        if got is None:
-            got = dfa.step(p, x)
-            step_memo[key] = got
-        return got
-
-    exits: dict = {}
-    deps: dict = {}
-    dirty: list = []
-
-    def demand(pair) -> None:
-        if pair not in exits:
-            exits[pair] = set()
-            deps[pair] = set()
-            dirty.append(pair)
-
-    root = (h.start, 0)
-    demand(root)
-    while dirty:
-        pair = dirty.pop()
-        (a, p) = pair
-        new = set()
-        for body in by_head[a]:
-            if body == ():
-                new.add(p)
-            elif len(body) == 1:
-                new.add(step(p, body[0]))
-            else:
-                b, c = body[0].name, body[1].name
-                demand((b, p))
-                deps[(b, p)].add(pair)
-                for q in list(exits[(b, p)]):
-                    demand((c, q))
-                    deps[(c, q)].add(pair)
-                    new |= exits[(c, q)]
-        if not new <= exits[pair]:
-            exits[pair] |= new
-            dirty.extend(deps[pair])
-
-    if dfa.sink not in exits[root]:
+    step = functools.cache(dfa.step)
+    exits = grammars.product_exits(h, 0, lambda p: (p,),
+                                   lambda p, x: ((step(p, x), None),))
+    if dfa.sink not in exits[(h.start, 0)]:
         return Inclusion(True)
     if not want_witness:
         return Inclusion(False, None)
@@ -743,77 +697,18 @@ def _split_pair(letter: str) -> tuple:
 def membership_grammar(r: automata.Nfa, a: slp.Slp) -> grammars.Cfg:
     """Grammar for the words w with val(a) ⊗ w accepted by r.
 
-    r runs over pair letters; the grammar is the product of (a CNF grammar
-    for) the single word val(a) with r, read off on second components.
-    Nonterminals are (grammar nonterminal, state, state) triples.
+    r is read as a transducer from first to second components of its pair
+    letters and applied to (a CNF grammar for) the single word val(a); the
+    result declares every second component as a terminal.
     """
     r = automata.validate(r)
     pairs = {lab: _split_pair(lab) for lab in r.alphabet}
-    h = grammars.to_cnf(a)
-
-    eps_succ = {p: {p} for p in range(r.n_states)}
-    for (p, x, q) in r.transitions:
-        if x is None:
-            eps_succ[p].add(q)
-    changed = True
-    while changed:
-        changed = False
-        for p in range(r.n_states):
-            extra = set()
-            for q in eps_succ[p]:
-                extra |= eps_succ[q]
-            if not extra <= eps_succ[p]:
-                eps_succ[p] |= extra
-                changed = True
-
-    # closed_steps[(p, x)] = [(y, q)]: from p, consume the pair letter with
-    # first component x emitting y, epsilon moves folded in on both sides
-    closed_steps: dict = {}
-    for p in range(r.n_states):
-        for p2 in eps_succ[p]:
-            for (src, lab, dst) in r.transitions:
-                if src != p2 or lab is None:
-                    continue
-                (x, y) = pairs[lab]
-                bucket = closed_steps.setdefault((p, x), set())
-                for q in eps_succ[dst]:
-                    bucket.add((y, q))
-
-    taken: set = set()
-    name_of: dict = {}
-
-    def triple(a_name: str, p: int, q: int) -> str:
-        key = (a_name, p, q)
-        if key not in name_of:
-            name = grammars.fresh_name(f"{a_name}@{p}.{q}", taken)
-            taken.add(name)
-            name_of[key] = name
-        return name_of[key]
-
-    states = range(r.n_states)
-    prods = []
-    for (head, body) in h.productions:
-        if body == ():
-            for p in states:
-                for q in eps_succ[p]:
-                    prods.append((triple(head, p, q), ()))
-        elif len(body) == 1:
-            for p in states:
-                for (y, q) in sorted(closed_steps.get((p, body[0]), ())):
-                    prods.append((triple(head, p, q), (y,)))
-        else:
-            b, c = body[0].name, body[1].name
-            for p in states:
-                for mid in states:
-                    for q in states:
-                        prods.append((triple(head, p, q),
-                                      (grammars.Nt(triple(b, p, mid)),
-                                       grammars.Nt(triple(c, mid, q)))))
-    start = grammars.fresh_name("Z", taken)
-    for f in sorted(r.finals):
-        prods.append((start, (grammars.Nt(triple(h.start, r.initial, f)),)))
-    terminals = sorted({y for (_, y) in pairs.values()})
-    return grammars.make_cfg(terminals, start, prods).cleaned()
+    rules = tuple((p, None, None, q) if lab is None else (p, *pairs[lab], q)
+                  for (p, lab, q) in r.transitions)
+    t = transducers.Transducer(r.n_states, r.initial, r.finals, rules)
+    out = transducers.apply_to_cfg(t, grammars.to_cnf(a))
+    return grammars.make_cfg({y for (_, y) in pairs.values()}, out.start,
+                             out.productions)
 
 
 def _word_lengths(h: grammars.Cfg, bound: int) -> set:

@@ -177,6 +177,86 @@ def cleaned(g: Cfg) -> Cfg:
     return make_cfg(g.terminals, g.start, keep)
 
 
+def product_exits(g: Cfg, initial: int, eps_close, steps) -> dict:
+    """Demand-driven product of a CNF grammar with an automaton.
+
+    The automaton side is two callables: ``eps_close(p)``, the states
+    reachable from p without reading, and ``steps(p, x)``, the ``(q,
+    output)`` pairs of runs from p to q reading exactly the terminal x.
+    Returns exits[(A, p)]: every state in which a run from p can end after
+    reading some word derived from A.  Only pairs demanded from
+    ``(g.start, initial)`` are evaluated (Bar-Hillel, Perles and Shamir
+    1961, built top-down instead of over all state triples).
+    """
+    leaves: dict = {a: [] for a in g.nonterminals}
+    binary: dict = {a: [] for a in g.nonterminals}
+    for (head, body) in g.productions:
+        (binary if len(body) == 2 else leaves)[head].append(body)
+    exits: dict = {}
+    deps: dict = {}
+    dirty: list = []
+
+    def demand(pair, by) -> set:
+        got = exits.get(pair)
+        if got is None:
+            (a, p) = pair
+            got = exits[pair] = set()
+            for body in leaves[a]:
+                got.update(eps_close(p) if body == ()
+                           else (q for (q, _) in steps(p, body[0])))
+            deps[pair] = set()
+            dirty.append(pair)
+        if by is not None:
+            deps[pair].add(by)
+        return got
+
+    demand((g.start, initial), None)
+    while dirty:
+        pair = dirty.pop()
+        (a, p) = pair
+        new = set()
+        for (b, c) in binary[a]:
+            for q in demand((b.name, p), pair):
+                new |= demand((c.name, q), pair)
+        got = exits[pair]
+        if not new <= got:
+            got |= new
+            dirty.extend(deps[pair])
+    return exits
+
+
+def product_grammar(g: Cfg, initial: int, finals, terminals,
+                    eps_close, steps) -> Cfg:
+    """Grammar of the outputs along the automaton runs over L(g).
+
+    ``A@p.q`` derives the outputs of the runs from p to q that read a word
+    derived from A (an output of None emits nothing); the start ``Z``
+    derives those of the runs from ``initial`` to a final state.  Only the
+    pairs and exits of ``product_exits`` get productions.  ``terminals``
+    is declared as given, so unused outputs stay declared.
+    """
+    exits = product_exits(g, initial, eps_close, steps)
+    by_head = g.by_head()
+    prods = []
+    for (a, p) in exits:
+        for body in by_head[a]:
+            if body == ():
+                prods.extend((f"{a}@{p}.{q}", ()) for q in eps_close(p))
+            elif len(body) == 1:
+                prods.extend((f"{a}@{p}.{q}", () if o is None else (o,))
+                             for (q, o) in steps(p, body[0]))
+            else:
+                b, c = body[0].name, body[1].name
+                for r in exits[(b, p)]:
+                    left = Nt(f"{b}@{p}.{r}")
+                    prods.extend((f"{a}@{p}.{q}", (left, Nt(f"{c}@{r}.{q}")))
+                                 for q in exits[(c, r)])
+    reached = exits[(g.start, initial)]
+    prods.extend(("Z", (Nt(f"{g.start}@{initial}.{f}"),))
+                 for f in finals if f in reached)
+    return make_cfg(terminals, "Z", prods).cleaned()
+
+
 def to_cnf(g: Cfg) -> Cfg:
     """Chomsky normal form with the same language.
 

@@ -10,6 +10,7 @@ atom words (with the same ideals).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from dirlang import automata
@@ -36,6 +37,21 @@ class Transducer:
 
     def state_name(self, q: int) -> str:
         return self.names[q] if self.names is not None else f"t{q}"
+
+    def indexed(self) -> tuple:
+        """(by_input, eps): by_input[(p, x)] lists the (out, q) of the rules
+        reading x from p, eps[p] the targets of p's consuming-nothing rules;
+        both keep rule order."""
+        by_input: dict = {}
+        eps: dict = {}
+        for (p, i, o, q) in self.rules:
+            if i is None:
+                if o is not None:
+                    raise ValueError("consuming-nothing rules must emit nothing")
+                eps.setdefault(p, []).append(q)
+            else:
+                by_input.setdefault((p, i), []).append((o, q))
+        return by_input, eps
 
 
 def build_TL(atoms) -> Transducer:
@@ -95,15 +111,7 @@ def build_TR(atoms) -> Transducer:
 def apply_to_nfa(t: Transducer, n: automata.Nfa) -> automata.Nfa:
     """Image automaton: L(result) = t(L(n)).  Product construction; the
     result is trimmed and deterministically numbered."""
-    by_input: dict = {}
-    eps_rules = []
-    for (p, i, o, q) in t.rules:
-        if i is None:
-            if o is not None:
-                raise ValueError("consuming-nothing rules must emit nothing")
-            eps_rules.append((p, q))
-        else:
-            by_input.setdefault((p, i), []).append((o, q))
+    by_input, eps_rules = t.indexed()
 
     ids: dict[tuple, int] = {}
     names = []
@@ -131,9 +139,8 @@ def apply_to_nfa(t: Transducer, n: automata.Nfa) -> automata.Nfa:
             else:
                 for (o, p2) in by_input.get((p, x), ()):
                     moves.append((o, (s2, p2)))
-        for (tp, tq) in eps_rules:
-            if tp == p:
-                moves.append((None, (s, tq)))
+        for tq in eps_rules.get(p, ()):
+            moves.append((None, (s, tq)))
         for (o, key2) in moves:
             if key2 not in ids:
                 ids[key2] = len(ids)
@@ -162,67 +169,41 @@ def transduce_word(t: Transducer, word) -> list[tuple]:
 
 
 def apply_to_cfg(t: Transducer, g: "grammars.Cfg") -> "grammars.Cfg":
-    """Image grammar: L(result) = t(L(g)).  Triple construction over the
-    transducer state pairs; ``g`` must be in Chomsky normal form."""
+    """Image grammar: L(result) = t(L(g)).  ``g`` must be in Chomsky
+    normal form.
+
+    One demand-driven product (``grammars.product_grammar``): ``A@p.q``
+    derives the images of the words of A along runs from p to q, and only
+    the state pairs reached from the start get productions.  The declared
+    terminals are every output of every state on every unit-body terminal
+    of ``g``, whether or not a kept production uses it.
+    """
     from dirlang import grammars
 
     g.check_cnf()
-    eps_succ = {p: {p} for p in range(t.n_states)}
-    by_input: dict = {}
-    for (p, i, o, q) in t.rules:
-        if i is None:
-            if o is not None:
-                raise ValueError("consuming-nothing rules must emit nothing")
-            eps_succ[p].add(q)
-        else:
-            by_input.setdefault((p, i), []).append((o, q))
-    # transitive closure of the consuming-nothing moves
-    changed = True
-    while changed:
-        changed = False
-        for p in range(t.n_states):
-            grow = set()
-            for q in eps_succ[p]:
-                grow |= eps_succ[q]
-            if not grow <= eps_succ[p]:
-                eps_succ[p] |= grow
-                changed = True
+    by_input, eps_succ = t.indexed()
 
-    def steps(p: int, a: Atom):
+    @functools.cache
+    def eps_close(p: int) -> frozenset:
+        """States reachable from p by consuming-nothing rules, p included."""
+        seen = {p}
+        todo = [p]
+        while todo:
+            for q in eps_succ.get(todo.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return frozenset(seen)
+
+    @functools.cache
+    def steps(p: int, a: Atom) -> list:
         """All (q, out) with a path p -> q consuming exactly the atom a."""
-        out = set()
-        for p1 in eps_succ[p]:
-            for (o, p2) in by_input.get((p1, a), ()):
-                for q in eps_succ[p2]:
-                    out.add((q, o))
-        return sorted(out, key=lambda e: (e[0], "" if e[1] is None else format_atom(e[1])))
+        return list({(q, o) for p1 in eps_close(p)
+                     for (o, p2) in by_input.get((p1, a), ())
+                     for q in eps_close(p2)})
 
-    def triple(p: int, head: str, q: int) -> str:
-        return f"{head}@{p}.{q}"
-
-    states = range(t.n_states)
-    prods = []
-    for (head, body) in g.productions:
-        if len(body) == 2:
-            b, c = body[0].name, body[1].name
-            for p in states:
-                for q in states:
-                    for r in states:
-                        prods.append((triple(p, head, q),
-                                      (grammars.Nt(triple(p, b, r)),
-                                       grammars.Nt(triple(r, c, q)))))
-        elif len(body) == 1:
-            for p in states:
-                for (q, o) in steps(p, body[0]):
-                    prods.append((triple(p, head, q),
-                                  () if o is None else (o,)))
-        else:  # epsilon body
-            for p in states:
-                for q in eps_succ[p]:
-                    prods.append((triple(p, head, q), ()))
-    start = grammars.fresh_name("Z", {h for (h, _) in prods})
-    for f in sorted(t.finals):
-        prods.append((start, (grammars.Nt(triple(t.initial, g.start, f)),)))
-    terminals = sorted({s for (_, body) in prods for s in body
-                        if not isinstance(s, grammars.Nt)}, key=format_atom)
-    return grammars.make_cfg(terminals, start, prods).cleaned()
+    units = {body[0] for (_, body) in g.productions if len(body) == 1}
+    terminals = {o for a in units for p in range(t.n_states)
+                 for (_, o) in steps(p, a) if o is not None}
+    return grammars.product_grammar(g, t.initial, sorted(t.finals), terminals,
+                                    eps_close, steps)

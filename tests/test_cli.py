@@ -237,3 +237,24 @@ def test_cap_exceeded_exit_code(files, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("resource cap exceeded:")
+
+
+def test_internal_error_exits_4(files, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_run_directed", broken)
+    f = files("a.nfa", AB_LOOP)
+    code, out, err = run(capsys, "directed", "nfa", f)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_count_ideals_deep_chain(files, capsys):
+    # 3000 links: deeper than the recursion limit, one accepting path
+    n = 3000
+    text = ("alphabet: a b\nstates: " + " ".join(map(str, range(n + 1)))
+            + f"\ninitial: 0\nfinal: {n}\n"
+            + "".join(f"{i} {'ab'[i % 2]} {i + 1}\n" for i in range(n)))
+    code, out, err = run(capsys, "count-ideals", "nfa", files("deep.nfa", text))
+    assert (code, out, err) == (0, "1\n", "")

@@ -390,6 +390,46 @@ def test_cfg_directed_random_consistency():
     assert checked > 50
 
 
+def mostly_forward_nfa(rng):
+    n = rng.randint(2, 7)
+    trans = []
+    for _ in range(rng.randint(n - 1, 2 * n)):
+        p = rng.randrange(n)
+        q = (rng.randrange(p + 1, n) if p < n - 1 and rng.random() < 0.8
+             else rng.randrange(n))
+        trans.append((p, rng.choice(("a", "b", "c", None)), q))
+    finals = [q for q in range(n) if rng.random() < 0.5] or [n - 1]
+    return automata.make_nfa(("a", "b", "c"), n, 0, finals, trans)
+
+
+def right_linear(a):
+    """Q_p -> x Q_q per edge (Q_p -> Q_q for epsilon), Q_f -> eps per
+    final state: a grammar for exactly L(a)."""
+    prods = [(f"Q{p}", (grammars.Nt(f"Q{q}"),) if x is None
+              else (x, grammars.Nt(f"Q{q}"))) for (p, x, q) in a.transitions]
+    prods += [(f"Q{f}", ()) for f in a.finals]
+    return grammars.make_cfg(a.alphabet, f"Q{a.initial}", prods)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cfg_route_agrees_with_nfa_route():
+    # reduced representations are unique per ideal, so a directed language
+    # has one candidate whichever route computes it
+    rng = random.Random(906)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        a = mostly_forward_nfa(rng)
+        want = decision.nfa_directed(a)
+        got = decision.cfg_directed(right_linear(a))
+        assert (got.directed, got.empty) == (want.directed, want.empty), \
+            automata.format_nfa(a)
+        if want.directed and not want.empty:
+            assert tuple(slp.iter_val(got.candidate)) == want.candidate, \
+                automata.format_nfa(a)
+        seen[want.directed] += not want.empty
+    assert seen[True] > 100 and seen[False] > 5
+
+
 def test_dce_cfg():
     k1 = grammars.parse_cfg(K1_TEXT)
     k12 = grammars.parse_cfg(K12_TEXT)
