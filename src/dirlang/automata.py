@@ -78,8 +78,9 @@ class Nfa:
 def make_nfa(alphabet, n_states, initial, finals, transitions, names=None) -> Nfa:
     """Normalize construction: sorted alphabet, deduplicated sorted transitions."""
     alpha = tuple(sorted(set(alphabet), key=sym_key))
-    trans = tuple(sorted(set((p, x, q) for (p, x, q) in transitions),
-                         key=lambda t: (t[0], label_key(t[1]), t[2])))
+    trans = {(p, x, q) for (p, x, q) in transitions}
+    keys = {x: label_key(x) for x in {x for (_, x, _) in trans}}
+    trans = tuple(sorted(trans, key=lambda t: (t[0], keys[t[1]], t[2])))
     return Nfa(alpha, n_states, initial, frozenset(finals), trans,
                tuple(names) if names is not None else None)
 

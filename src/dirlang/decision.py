@@ -134,8 +134,9 @@ def nfa_reduced_automaton(a: automata.Nfa) -> automata.Nfa:
     r = automata.scc_collapse(automata.validate(a))
     idl = automata.ideal_automaton(r)
     atoms = tuple(idl.alphabet)
-    halfway = transducers.apply_to_nfa(transducers.build_TR(atoms), idl)
-    return transducers.apply_to_nfa(transducers.build_TL(atoms), halfway)
+    tl = transducers.build_TL(atoms)
+    halfway = transducers.apply_to_nfa(transducers.reverse(tl), idl)
+    return transducers.apply_to_nfa(tl, halfway)
 
 
 def nfa_candidate_ideal(a: automata.Nfa) -> IdealRep:
@@ -492,7 +493,7 @@ def _cfg_inclusion_compressed(red: grammars.Cfg, i: slp.Slp,
     def atom_at(j: int):
         got = atom_memo.get(j)
         if got is None:
-            got = slp.char_at(i, j)
+            got = slp.symbol_at(rule, lengths, i.start, j)
             atom_memo[j] = got
         return got
 

@@ -582,8 +582,9 @@ def reduced_ideal_grammar(g: Cfg) -> Cfg:
 
     idl = to_cnf(ideal_grammar(to_cnf(g)))
     atoms = tuple(idl.terminals)
-    halfway = to_cnf(transducers.apply_to_cfg(transducers.build_TR(atoms), idl))
-    out = to_cnf(transducers.apply_to_cfg(transducers.build_TL(atoms), halfway))
+    tl = transducers.build_TL(atoms)
+    halfway = to_cnf(transducers.apply_to_cfg(transducers.reverse(tl), idl))
+    out = to_cnf(transducers.apply_to_cfg(tl, halfway))
     if not is_acyclic(out):
         raise AssertionError("reduced ideal grammar came out cyclic")
     return out

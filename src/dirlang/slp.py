@@ -85,12 +85,15 @@ def val_length(g: Slp) -> int:
 
 def char_at(g: Slp, i: int):
     """The i-th symbol (1-based) of the value, by descent along lengths."""
-    rule = rule_of(g)
-    length = val_lengths(g)
-    if not 1 <= i <= length[g.start]:
-        raise IndexError(f"index {i} out of range for value length {length[g.start]}")
+    return symbol_at(rule_of(g), val_lengths(g), g.start, i)
+
+
+def symbol_at(rule: dict, length: dict, a: str, i: int):
+    """The i-th symbol (1-based) of val(a), given a checked program's
+    ``rule_of`` and ``val_lengths`` tables: one root-to-leaf descent."""
+    if not 1 <= i <= length[a]:
+        raise IndexError(f"index {i} out of range for value length {length[a]}")
     i -= 1
-    a = g.start
     while True:
         for s in rule[a]:
             n = length[s.name] if isinstance(s, grammars.Nt) else 1

@@ -53,6 +53,14 @@ class Transducer:
                 by_input.setdefault((p, i), []).append((o, q))
         return by_input, eps
 
+    def sources(self) -> dict:
+        """sources[(x, q)]: the states with a rule reading x into q, x None
+        for the consuming-nothing rules."""
+        out: dict = {}
+        for (p, i, _, q) in self.rules:
+            out.setdefault((i, q), set()).add(p)
+        return out
+
 
 def build_TL(atoms) -> Transducer:
     """Left-reduction transducer over the atom alphabet ``atoms``.
@@ -110,8 +118,26 @@ def build_TR(atoms) -> Transducer:
 
 def apply_to_nfa(t: Transducer, n: automata.Nfa) -> automata.Nfa:
     """Image automaton: L(result) = t(L(n)).  Product construction; the
-    result is trimmed and deterministically numbered."""
+    result is trimmed and deterministically numbered.
+
+    When ``t`` is co-deterministic (each state is entered on a given atom
+    from one state only, as in T_R), a backward search from the final pairs
+    first finds the live pairs, those from which a final pair is reachable,
+    and the forward search creates only those.  The states, names,
+    transitions and finals come out as without the search: a dead pair has
+    only dead successors, so skipping the dead pairs keeps the discovery
+    order of the live ones, which is the order ``trim`` numbers them in.
+    The declared alphabet is the outputs of the explored transitions, so
+    it no longer lists atoms output only into dead pairs.  For a transducer
+    that is not co-deterministic (T_L, every state final) the backward
+    search would be the larger side, and its forward product is nearly all
+    live anyway.
+    """
     by_input, eps_rules = t.indexed()
+    sources = t.sources()
+    live = None
+    if all(len(ps) == 1 for ((x, _), ps) in sources.items() if x is not None):
+        live = _live_pairs(t, n, sources)
 
     ids: dict[tuple, int] = {}
     names = []
@@ -142,12 +168,11 @@ def apply_to_nfa(t: Transducer, n: automata.Nfa) -> automata.Nfa:
         for tq in eps_rules.get(p, ()):
             moves.append((None, (s, tq)))
         for (o, key2) in moves:
+            if live is not None and key2 not in live:
+                continue
             if key2 not in ids:
-                ids[key2] = len(ids)
-                s2, p2 = key2
-                names.append(f"{n.state_name(s2)}|{t.state_name(p2)}")
                 todo.append(key2)
-            trans.add((src, o, ids[key2]))
+            trans.add((src, o, state_id(key2)))
     finals = {i for (key, i) in ids.items()
               if key[0] in n.finals and key[1] in t.finals}
     atoms = sorted({x for (_, x, _) in trans if x is not None},
@@ -155,6 +180,30 @@ def apply_to_nfa(t: Transducer, n: automata.Nfa) -> automata.Nfa:
     out = automata.make_nfa(atoms, len(ids), ids[start], finals, trans,
                             names=names)
     return automata.trim(out)
+
+
+def _live_pairs(t: Transducer, n: automata.Nfa, sources: dict) -> set:
+    """The product pairs (state of n, state of t) from which a pair of two
+    final states is reachable: a backward search over n's predecessor edges
+    and ``sources``, t's rule sources keyed by (input, target)."""
+    pred = {s: [] for s in range(n.n_states)}
+    for (s, x, s2) in n.transitions:
+        pred[s2].append((x, s))
+    live = {(s, p) for s in n.finals for p in t.finals}
+    todo = list(live)
+    while todo:
+        s2, p2 = todo.pop()
+        back = [(s2, p) for p in sources.get((None, p2), ())]
+        for (x, s) in pred[s2]:
+            if x is None:
+                back.append((s, p2))
+            else:
+                back += [(s, p) for p in sources.get((x, p2), ())]
+        for key in back:
+            if key not in live:
+                live.add(key)
+                todo.append(key)
+    return live
 
 
 def transduce_word(t: Transducer, word) -> list[tuple]:

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from dirlang import automata, decision, grammars, ideals, maxweight, oracle, slp
+from dirlang import (automata, decision, grammars, ideals, maxweight, oracle,
+                     slp, transducers)
 from dirlang.errors import ResourceCapExceeded
 
 from conftest import nonempty, random_cfg, random_nfa, random_reduced_rep
@@ -222,6 +224,69 @@ def test_nfa_directed_golden_dags(seed, states, candidate, witness):
     assert ideals.format_word(v.witness) == witness
 
 
+# sha256 prefixes of format_nfa(nfa_reduced_automaton(a)), recorded before
+# the T_R product was pruned to live pairs
+NFA_REDUCTION_GOLDEN = [
+    ("dag", 5000, 50, 'ffdb23620aa0d47e'),
+    ("dag", 5001, 68, 'dee8f5865c76d795'),
+    ("dag", 5002, 71, '22729776ab5b7512'),
+    ("dag", 5003, 47, '4b027f67e832178f'),
+    ("dag", 5004, 56, 'd1603c5dac8cfb29'),
+    ("dag", 5005, 50, 'a9831d098edcdb4e'),
+    ("dag", 5006, 47, 'c75c1839d242d33b'),
+    ("dag", 5007, 47, 'b8e18384ab4c49e5'),
+    ("dag", 5008, 41, 'e4fb5f4aa3dd7f52'),
+    ("dag", 5009, 65, '560555c353e032d1'),
+    ("dag", 5010, 53, 'c37b3a7c37c7169e'),
+    ("dag", 5011, 71, '1b4f3d93c181cb1c'),
+    ("dag", 5012, 44, '8fc510b7fcec1787'),
+    ("dag", 5013, 53, 'b7783562d8c3c9bf'),
+    ("chain", 5100, 71, '32c9f4127603b742'),
+    ("chain", 5101, 71, 'c3c9d4681b0506ca'),
+    ("chain", 5102, 40, '10ad0e0526555178'),
+    ("chain", 5103, 61, '463d3b1fd6235f12'),
+    ("chain", 5104, 66, '53b00ca556d383e0'),
+    ("chain", 5105, 47, '012c7c09e2f7baf4'),
+]
+
+
+def reduction_input(kind, seed):
+    rng = random.Random(seed)
+    if kind == "dag":
+        return random_dag_nfa(rng, rng.randint(13, 26))
+    return chain_with_detours(rng, rng.randint(20, 60), 20)[0]
+
+
+@pytest.mark.parametrize("kind,seed,states,want", NFA_REDUCTION_GOLDEN,
+                         ids=[f"{g[0]}{g[1]}" for g in NFA_REDUCTION_GOLDEN])
+def test_nfa_reduced_automaton_golden(kind, seed, states, want):
+    a = reduction_input(kind, seed)
+    assert a.n_states == states
+    red = decision.nfa_reduced_automaton(a)
+    got = hashlib.sha256(automata.format_nfa(red).encode()).hexdigest()
+    assert got[:16] == want
+
+
+def test_right_reduction_builds_no_dead_state(monkeypatch):
+    # T_R is co-deterministic, so its product creates live pairs only and
+    # the trim after it removes nothing; T_L's product is not pruned
+    real_trim = automata.trim
+    counts = []
+
+    def recording_trim(a):
+        out = real_trim(a)
+        counts.append((a.n_states, out.n_states))
+        return out
+
+    monkeypatch.setattr(transducers.automata, "trim", recording_trim)
+    for (kind, seed, _, _) in NFA_REDUCTION_GOLDEN:
+        counts.clear()
+        decision.nfa_reduced_automaton(reduction_input(kind, seed))
+        assert len(counts) == 2  # the T_R pass, then the T_L pass
+        before, after = counts[0]
+        assert before == after, (kind, seed)
+
+
 def test_nfa_directed_long_chain():
     # a normalized automaton of thousands of states: the maximum-weight
     # pass and the canonical walk must be linear and iterative
@@ -331,6 +396,29 @@ def test_cfg_inclusion_compressed_witness_is_none_for_stars():
                                          expand_cap=0)
     assert not inc.included
     assert inc.witness is None
+
+
+def test_compressed_route_validates_the_candidate_a_few_times(monkeypatch):
+    # the cursor's symbol lookups descend the tables the route already holds
+    # instead of re-validating the candidate program on every lookup
+    prods = [("P0", ("a", "b"))] + [
+        (f"P{i}", (grammars.Nt(f"P{i - 1}"), grammars.Nt(f"P{i - 1}")))
+        for i in range(1, 11)]
+    g = grammars.make_cfg({"a", "b"}, "P10", prods)
+    real_check = slp.check_slp
+    calls = []
+
+    def counting_check(prog):
+        calls.append(prog)
+        return real_check(prog)
+
+    monkeypatch.setattr(slp, "check_slp", counting_check)
+    v = decision.cfg_directed(g, expand_cap=0)
+    assert len(calls) <= 5
+    assert v.directed and v.witness is None
+    assert slp.val_length(v.candidate) == 2 ** 11
+    got = hashlib.sha256(slp.format_slp(v.candidate).encode()).hexdigest()
+    assert got[:16] == '6c2202db6194290b'
 
 
 def test_cfg_inclusion_scan_budget():
