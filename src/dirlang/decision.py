@@ -145,9 +145,7 @@ def nfa_candidate_ideal(a: automata.Nfa) -> IdealRep:
     red = nfa_reduced_automaton(a)
     if not automata.reaches_final(red):
         raise ValueError("the automaton accepts nothing; no candidate ideal")
-    norm = maxweight.normalize(red)
-    maxima = maxweight.suffix_maxima(norm)
-    return maxweight.extract_canonical_path(norm, maxima)
+    return maxweight.canonical_path(maxweight.normalize(red))
 
 
 def nfa_included_in_ideal(a: automata.Nfa, v: IdealRep,
@@ -317,42 +315,45 @@ def cfg_candidate_ideal(g: grammars.Cfg, _reduced: grammars.Cfg = None) -> slp.S
     SLP over atoms whose value is a reduced representation contained in
     ↓L(g), and equal to it exactly when L(g) is directed."""
     red = grammars.reduced_ideal_grammar(g) if _reduced is None else _reduced
-    m = 3 * 2 ** (2 * len(red.nonterminals))
-    table = grammars.weight_table(red, m)
-    return slp.check_slp(grammars.extract_max_slp(red, table, m))
+    return slp.check_slp(grammars.max_weight_slp(red))
 
 
 def cfg_included_in_ideal(g: grammars.Cfg, i: slp.Slp,
                           want_witness: bool = True,
                           expand_cap: int = CFG_EXPAND_CAP,
-                          scan_budget: int = SCAN_BUDGET,
                           _reduced: grammars.Cfg = None) -> Inclusion:
     """Is L(g) inside the ideal denoted by the compressed representation i?
 
     Small values are expanded and checked through a lazy product of the
-    grammar with the embedding DFA; larger ones are walked in compressed
-    form, one decomposition ideal of ↓L(g) at a time.
+    grammar, in Chomsky normal form (converted unless it already is), with
+    the embedding DFA; larger ones are walked in compressed form, one
+    decomposition ideal of ↓L(g) at a time, within ``SCAN_BUDGET`` scan
+    steps.
     """
     if slp.val_length(i) <= expand_cap:
         v = tuple(slp.iter_val(i))
-        return _cfg_inclusion_expanded(grammars.to_cnf(g), v, want_witness)
+        h = g if grammars.is_cnf(g) else grammars.to_cnf(g)
+        return _cfg_inclusion_expanded(h, v, want_witness)
     if _cfg_is_empty(g):
         return Inclusion(True)
     red = grammars.reduced_ideal_grammar(g) if _reduced is None else _reduced
-    return _cfg_inclusion_compressed(red, i, want_witness, scan_budget)
+    return _cfg_inclusion_compressed(red, i, want_witness)
 
 
 def cfg_directed(g: grammars.Cfg, want_witness: bool = True,
-                 expand_cap: int = CFG_EXPAND_CAP,
-                 scan_budget: int = SCAN_BUDGET) -> Verdict:
-    """Directedness of L(g), with the compressed candidate as evidence."""
+                 expand_cap: int = CFG_EXPAND_CAP) -> Verdict:
+    """Directedness of L(g), with the compressed candidate as evidence.
+
+    The grammar is put in Chomsky normal form once; the reduction and the
+    expanded inclusion check both start from that form.
+    """
     if _cfg_is_empty(g):
         return Verdict(True, empty=True)
-    red = grammars.reduced_ideal_grammar(g)
+    cnf = grammars.to_cnf(g)
+    red = grammars.reduced_ideal_grammar_of_cnf(cnf)
     candidate = cfg_candidate_ideal(g, _reduced=red)
-    inc = cfg_included_in_ideal(g, candidate, want_witness=want_witness,
-                                expand_cap=expand_cap, scan_budget=scan_budget,
-                                _reduced=red)
+    inc = cfg_included_in_ideal(cnf, candidate, want_witness=want_witness,
+                                expand_cap=expand_cap, _reduced=red)
     return Verdict(inc.included, candidate=candidate, witness=inc.witness)
 
 
@@ -447,7 +448,7 @@ _SCAN_FAIL = object()  # cursor result: some atom cannot be matched any more
 
 
 def _cfg_inclusion_compressed(red: grammars.Cfg, i: slp.Slp,
-                              want_witness: bool, scan_budget: int) -> Inclusion:
+                              want_witness: bool) -> Inclusion:
     """Inclusion against a value too large to expand.
 
     Every atom word derivable from the reduced ideal grammar of the
@@ -462,31 +463,17 @@ def _cfg_inclusion_compressed(red: grammars.Cfg, i: slp.Slp,
     lengths = slp.val_lengths(i)
     n = lengths[i.start]
 
-    order = []  # reachable nonterminals, children before parents
-    state = {}
-    stack = [i.start]
-    while stack:
-        a = stack[-1]
-        if state.get(a) == 2:
-            stack.pop()
-            continue
-        if state.get(a) == 1:
-            state[a] = 2
-            order.append(a)
-            stack.pop()
-            continue
-        state[a] = 1
-        stack.extend(s.name for s in rule[a]
-                     if isinstance(s, grammars.Nt) and s.name not in state)
+    # reachable nonterminals (those val_lengths measured), children first
+    order = [a for a in grammars.children_first(i) if a in lengths]
 
-    budget = scan_budget
+    budget = SCAN_BUDGET
 
     def spend(amount: int) -> None:
         nonlocal budget
         budget -= amount
         if budget < 0:
             raise ResourceCapExceeded(
-                f"compressed cursor exceeded its scan budget of {scan_budget}")
+                f"compressed cursor exceeded its scan budget of {SCAN_BUDGET}")
 
     atom_memo: dict = {}
 

@@ -1,4 +1,4 @@
-"""Context-free grammars: normal form, ideal grammars, weight tables.
+"""Context-free grammars: normal form, ideal grammars, maximum-weight SLPs.
 
 Terminals are letters (str) or atoms; nonterminals are referenced through
 ``Nt`` wrappers so a body is an unambiguous mixed tuple.  Productions live
@@ -13,6 +13,11 @@ atom; those that reproduce themselves exactly once do so along mutual
 recursion classes, which contribute flanking alphabet-star atoms collected
 from the left and right siblings of the recursion; everything else is copied
 structurally.
+
+``max_weight_slp`` picks one maximum-weight atom word as a straight-line
+program.  Words weigh their atom-rank histogram, heaviest rank first, which
+orders them as mu_k with k = 3 * 2^(2|N|) does, since an acyclic CNF
+grammar derives at most 2^(|N|-1) atoms (see ``maxweight``).
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+from dirlang import maxweight
 from dirlang.ideals import (
     AlphabetStar,
     Atom,
     Single,
-    atom_weight,
     format_atom,
 )
 
@@ -125,6 +130,15 @@ class Cfg:
 
     def cleaned(self) -> "Cfg":
         return cleaned(self)
+
+
+def is_cnf(g: Cfg) -> bool:
+    """Does ``g.check_cnf()`` pass?"""
+    try:
+        g.check_cnf()
+    except ValueError:
+        return False
+    return True
 
 
 def make_cfg(terminals, start, prods) -> Cfg:
@@ -358,12 +372,18 @@ def to_cnf(g: Cfg) -> Cfg:
     return out
 
 
-def is_acyclic(g: Cfg) -> bool:
-    """No nonterminal can reappear in its own derivations."""
+def children_first(g: Cfg) -> list:
+    """Every nonterminal, each after all nonterminals its bodies mention.
+
+    Iterative depth-first search from the nonterminals in sorted order;
+    raises ValueError when a nonterminal can reappear in its own
+    derivations.
+    """
     succ = {a: set() for a in g.nonterminals}
     for (head, body) in g.productions:
         succ[head].update(s.name for s in body if isinstance(s, Nt))
     color: dict = {}
+    order = []
     for root in g.nonterminals:
         if color.get(root):
             continue
@@ -374,14 +394,24 @@ def is_acyclic(g: Cfg) -> bool:
             for child in it:
                 c = color.get(child)
                 if c == 1:
-                    return False
+                    raise ValueError(f"cyclic grammar: {child} derives itself")
                 if c is None:
                     color[child] = 1
                     todo.append((child, iter(sorted(succ[child]))))
                     break
             else:
                 color[node] = 2
+                order.append(node)
                 todo.pop()
+    return order
+
+
+def is_acyclic(g: Cfg) -> bool:
+    """No nonterminal can reappear in its own derivations."""
+    try:
+        children_first(g)
+    except ValueError:
+        return False
     return True
 
 
@@ -578,9 +608,15 @@ def reduced_ideal_grammar(g: Cfg) -> Cfg:
     of ideals is unchanged.  Raises for the empty language, which has the
     empty decomposition.
     """
+    return reduced_ideal_grammar_of_cnf(to_cnf(g))
+
+
+def reduced_ideal_grammar_of_cnf(h: Cfg) -> Cfg:
+    """``reduced_ideal_grammar(g)`` from ``h = to_cnf(g)``, for callers that
+    need the normal form themselves too."""
     from dirlang import transducers
 
-    idl = to_cnf(ideal_grammar(to_cnf(g)))
+    idl = to_cnf(ideal_grammar(h))
     atoms = tuple(idl.terminals)
     tl = transducers.build_TL(atoms)
     halfway = to_cnf(transducers.apply_to_cfg(transducers.reverse(tl), idl))
@@ -590,79 +626,32 @@ def reduced_ideal_grammar(g: Cfg) -> Cfg:
     return out
 
 
-def weight_table(g: Cfg, m: int) -> dict:
-    """Maximum derivable atom-word weight per nonterminal, or None.
-
-    mu_m weights; ``g`` must be CNF over atom terminals and acyclic in
-    effect — the relaxation must reach a fixpoint within one round per
-    nonterminal, which it does exactly when no weight grows along a cycle.
-    """
-    g.check_cnf()
-    table: dict = {a: None for a in g.nonterminals}
-    binary = []
-    for (head, body) in g.productions:
-        if len(body) == 1:
-            w = atom_weight(body[0], m)
-            if table[head] is None or w > table[head]:
-                table[head] = w
-        elif body == ():
-            if table[head] is None or table[head] < 0:
-                table[head] = 0
-        else:
-            binary.append((head, body[0].name, body[1].name))
-
-    def relax() -> bool:
-        changed = False
-        for (a, b, c) in binary:
-            if table[b] is None or table[c] is None:
-                continue
-            w = table[b] + table[c]
-            if table[a] is None or w > table[a]:
-                table[a] = w
-                changed = True
-        return changed
-
-    for _ in range(len(g.nonterminals)):
-        if not relax():
-            break
-    if relax():
-        raise ValueError("weights keep growing: grammar has a weighted cycle")
-    return table
-
-
-def extract_max_slp(g: Cfg, table: dict, m: int) -> Cfg:
+def max_weight_slp(g: Cfg) -> Cfg:
     """Straight-line program deriving one maximum-weight atom word of g.
 
-    Keeps, per nonterminal reachable under maximizing choices, the first
-    production attaining its table weight.  Errors when g derives nothing.
+    ``g`` is an acyclic grammar over atoms.  One ``maxweight.max_weights``
+    pass over its nonterminals, children first, with each nonterminal's
+    productions in ``by_head`` order as its alternatives; the program keeps
+    the first production attaining the maximum of each nonterminal reached
+    from the start through kept productions.  Errors when g derives nothing
+    or is cyclic.
     """
-    if table[g.start] is None:
-        raise ValueError("the grammar derives no atom word")
     by_head = g.by_head()
+    alternatives = {a: [(tuple(s for s in body if not isinstance(s, Nt)),
+                         tuple(s.name for s in body if isinstance(s, Nt)))
+                        for body in bodies]
+                    for a, bodies in by_head.items()}
+    best, choice = maxweight.max_weights(children_first(g), alternatives)
+    if best[g.start] is None:
+        raise ValueError("the grammar derives no atom word")
     chosen = {}
     todo = [g.start]
     while todo:
         a = todo.pop()
-        if a in chosen:
-            continue
-        pick = None
-        for body in by_head[a]:
-            if len(body) == 1:
-                w = atom_weight(body[0], m)
-            elif body == ():
-                w = 0
-            else:
-                b, c = table[body[0].name], table[body[1].name]
-                w = None if b is None or c is None else b + c
-            if w == table[a]:
-                pick = body
-                break
-        if pick is None:
-            raise AssertionError(f"no production of {a} attains its weight")
-        chosen[a] = pick
-        todo.extend(s.name for s in pick if isinstance(s, Nt))
-    return make_cfg(g.terminals, g.start,
-                    [(a, body) for (a, body) in chosen.items()])
+        if a not in chosen:
+            chosen[a] = by_head[a][choice[a]]
+            todo.extend(s.name for s in chosen[a] if isinstance(s, Nt))
+    return make_cfg(g.terminals, g.start, chosen.items())
 
 
 def prefixed(g: Cfg, prefix: str) -> Cfg:

@@ -271,10 +271,14 @@ def embedding(sub: IdealRep, sup: IdealRep) -> tuple[int, ...] | None:
 
 
 def weight(rep: IdealRep, k: int) -> int:
-    """Additive weight: a single atom weighs 1, an alphabet atom (k+1)^|D|.
+    """The paper's mu_k: a single atom weighs 1, an alphabet atom (k+1)^|D|.
 
     Strictly monotone on inclusion of reduced representations of length <= k
-    (arbitrary-precision; never floats).
+    (arbitrary-precision; never floats).  Ranking atoms ``a?`` 1 and ``D*``
+    1 + |D|, mu_k is the rank histogram read as base-(k+1) digits, so on
+    representations of at most k atoms it orders them as that histogram
+    does, heaviest rank first and lexicographically; ``maxweight``
+    maximizes that histogram, which needs no k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -282,10 +286,6 @@ def weight(rep: IdealRep, k: int) -> int:
     for a in rep:
         total += 1 if isinstance(a, Single) else (k + 1) ** len(a.letters)
     return total
-
-
-def atom_weight(a: Atom, k: int) -> int:
-    return 1 if isinstance(a, Single) else (k + 1) ** len(a.letters)
 
 
 CHAIN_FAMILY_CAP = 12

@@ -1,33 +1,82 @@
-"""Maximum-weight ideal extraction over normalized ideal automata.
+"""Maximum-weight extraction: one pass shared by the automaton and grammar
+routes.
 
-A normalized reduced ideal automaton is acyclic apart from an epsilon
-self-loop on its unique final state, carries at most one edge per state
-pair, and numbers its states in topological order with the final state
-last.  With m states, every accepted representation has fewer than m atoms,
-and atoms are weighed by mu_m.  One reverse pass over the states then gives,
-for every state, the maximum weight of any path to the final state, and a
-forward walk along maximizing edges reads off the canonical representation.
-Both are linear in the number of edges and iterative, so long automata do
-not meet the recursion limit.  Weights are arbitrary-precision integers;
-"minus infinity" is an explicit None, never a sentinel number.
+The paper weighs atom words by mu_k (``ideals.weight``), with k the state
+count for automata and 3 * 2^(2|N|) for grammars, values its complexity
+bounds need.  Here an atom word weighs the histogram of its atom ranks
+(epsilon 0, ``a?`` 1, ``D*`` 1 + |D|), heaviest rank first, compared
+lexicographically.  mu_k is that histogram read as base-(k+1) digits, so
+the two orders agree on words of at most k atoms, and every candidate is
+one: an automaton path has fewer atoms than states, and a word of an
+acyclic CNF grammar at most 2^(|N|-1) < 3 * 2^(2|N|).  The histogram thus
+picks the ideal mu_k picks, ties included, with no parameter.
 
-The paper computes the same maxima as the m-th max-plus power of the
-edge-weight matrix; that formulation serves its AC^1 upper bound for NFAs
-and is not used here.
+``max_weights`` is the pass: nodes children first, an ordered list of
+``(atoms, refs)`` alternatives per node, and per node the best histogram
+and the first alternative attaining it.  It is iterative, so long automata
+and deep grammars do not meet the recursion limit.  The automaton route is
+``normalize`` and ``canonical_path``; the grammar route is
+``grammars.max_weight_slp``.  (The paper's max-plus matrix powers serve its
+AC^1 bound for NFAs and are not used.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 from dirlang import automata
-from dirlang.ideals import Atom, IdealRep, atom_weight, format_atom
+from dirlang.ideals import IdealRep, Single, format_atom
 
 
-def label_weight(label, k: int) -> int:
-    """mu_k of an edge label; epsilon weighs nothing."""
-    return 0 if label is None else atom_weight(label, k)
+def _rank(atom) -> int:
+    """Rank of an edge label: epsilon (None) 0, ``a?`` 1, ``D*`` 1 + |D|."""
+    if atom is None:
+        return 0
+    return 1 if isinstance(atom, Single) else 1 + len(atom.letters)
+
+
+def max_weights(order, alternatives) -> tuple:
+    """Best weight and first maximizing alternative of every node.
+
+    ``order`` lists each node after the nodes its alternatives refer to.
+    An alternative ``(atoms, refs)`` weighs the rank histogram of its atoms
+    plus the best weights of ``refs``, and is infeasible when one of those
+    has none.  Returns ``(best, choice)``: the maximum weight per node, and
+    the index of the first alternative attaining it; both None where no
+    alternative is feasible (the node derives nothing).  A weight is a
+    tuple of counts per occurring rank, heaviest first; ranks occurring
+    nowhere would count zero everywhere, so leaving them out keeps the
+    order.
+    """
+    atoms_seen = {x for node in order for (atoms, _) in alternatives[node]
+                  for x in atoms}
+    ranks = sorted({_rank(x) for x in atoms_seen}, reverse=True)
+    slot = {x: ranks.index(_rank(x)) for x in atoms_seen}
+    zero = (0,) * len(ranks)
+    best: dict = {}
+    choice: dict = {}
+    for node in order:
+        top = pick = None
+        for k, (atoms, refs) in enumerate(alternatives[node]):
+            w = zero
+            for r in refs:
+                part = best[r]
+                if part is None:
+                    break
+                w = part if w is zero else tuple(map(add, w, part))
+            else:
+                if atoms:
+                    w = list(w)
+                    for x in atoms:
+                        w[slot[x]] += 1
+                    w = tuple(w)
+                if top is None or w > top:
+                    top, pick = w, k
+        best[node] = top
+        choice[node] = pick
+    return best, choice
 
 
 @dataclass(frozen=True)
@@ -56,18 +105,22 @@ class NormalizedIdealNfa:
         return self.m - 1
 
     @cached_property
-    def out_edges(self) -> tuple:
-        """Per state, its (successor, label) pairs by ascending successor."""
+    def alternatives(self) -> tuple:
+        """Per state, its ``max_weights`` alternatives: one ``(atoms,
+        (successor,))`` per out-edge by ascending successor, epsilon edges
+        with no atom; the final state has only the empty path, since its
+        epsilon self-loop is never taken."""
         out = [[] for _ in range(self.m)]
         for (i, j), x in sorted(self.edges.items()):
-            out[i].append((j, x))
+            out[i].append(((() if x is None else (x,)), (j,)))
+        out[self.final] = [((), ())]
         return tuple(tuple(o) for o in out)
 
 
 def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
     """Unique final state, epsilon self-loop there, one edge per state pair.
 
-    Parallel edges are merged keeping the maximum-weight atom (ties go to
+    Parallel edges are merged keeping the heaviest atom, by rank (ties go to
     the lexicographically least serialized form); an already-normalized
     input comes back unchanged up to state renaming.  Any cycle, a
     self-loop included, other than the final epsilon self-loop of an
@@ -107,78 +160,34 @@ def normalize(n: automata.Nfa) -> NormalizedIdealNfa:
         raise AssertionError("initial state not first in topological order")
     pos = {q: i for i, q in enumerate(order)}
 
-    m = work_states
     grouped: dict[tuple, list] = {}
     for (p, x, q) in work_trans:
         grouped.setdefault((pos[p], pos[q]), []).append(x)
     edges = {}
     merged = []
     for (i, j), labels in sorted(grouped.items()):
-        labels.sort(key=lambda x: (-label_weight(x, m),
-                                   "" if x is None else format_atom(x)))
+        labels.sort(key=lambda x: (-_rank(x), "" if x is None else format_atom(x)))
         edges[(i, j)] = labels[0]
         merged.extend((i, j, x) for x in labels[1:])
-    return NormalizedIdealNfa(m, edges, tuple(merged),
+    return NormalizedIdealNfa(work_states, edges, tuple(merged),
                               tuple(names[q] for q in order))
 
 
-def suffix_maxima(norm: NormalizedIdealNfa) -> tuple:
-    """For every state s the maximum mu_m path weight from s to the final
-    state, with m = the state count; None where the final state is out of
-    reach.
-
-    One pass in reverse topological order: every successor of a state has a
-    higher index, so its maximum is known when the state is reached.  The
-    final state's epsilon self-loop is never relaxed.
-    """
-    m = norm.m
-    out = norm.out_edges
-    best = [None] * m
-    best[norm.final] = 0
-    for s in range(m - 2, -1, -1):
-        got = None
-        for (j, x) in out[s]:
-            rest = best[j]
-            if rest is not None:
-                w = label_weight(x, m) + rest
-                if got is None or w > got:
-                    got = w
-        best[s] = got
-    return tuple(best)
-
-
-def extract_canonical_path(norm: NormalizedIdealNfa, maxima) -> IdealRep:
+def canonical_path(norm: NormalizedIdealNfa) -> IdealRep:
     """The canonical maximum-weight representation.
 
-    Deterministic walk from the initial state: move to the successor
-    maximizing edge weight plus suffix maximum, breaking ties by the
-    smallest state index; emit non-epsilon labels.  Errors when the
-    automaton accepts nothing.
+    Runs ``max_weights`` over the states in reverse topological order, then
+    walks from the initial state along the chosen edges, which among equal
+    weights lead to the smallest successor, emitting the non-epsilon
+    labels.  Errors when the automaton accepts nothing.
     """
-    if maxima[norm.initial] is None:
+    alternatives = norm.alternatives
+    best, choice = max_weights(range(norm.final, -1, -1), alternatives)
+    if best[norm.initial] is None:
         raise ValueError("automaton accepts no representation (empty language)")
-    out = norm.out_edges
     rep = []
     i = norm.initial
-    guard = 0
     while i != norm.final:
-        best = None
-        best_j = None
-        best_label = None
-        for (j, x) in out[i]:
-            if maxima[j] is None:
-                continue
-            cand = label_weight(x, norm.m) + maxima[j]
-            if best is None or cand > best:
-                best, best_j, best_label = cand, j, x
-        if best_j is None:
-            raise AssertionError("dead end on a path with finite suffix maximum")
-        if best != maxima[i]:
-            raise AssertionError("suffix maxima inconsistent with edge relaxation")
-        if best_label is not None:
-            rep.append(best_label)
-        i = best_j
-        guard += 1
-        if guard > norm.m:
-            raise AssertionError("canonical walk exceeded the state count")
+        atoms, (i,) = alternatives[i][choice[i]]
+        rep.extend(atoms)
     return tuple(rep)

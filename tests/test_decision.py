@@ -421,11 +421,29 @@ def test_compressed_route_validates_the_candidate_a_few_times(monkeypatch):
     assert got[:16] == '6c2202db6194290b'
 
 
-def test_cfg_inclusion_scan_budget():
+def test_cfg_directed_converts_the_input_to_cnf_once(monkeypatch):
+    # the reduction and the expanded inclusion check share one normal form
+    g = grammars.parse_cfg("terminals: a b c\nstart: S\nS -> a S | b | c\n")
+    real_to_cnf = grammars.to_cnf
+    inputs = []
+
+    def recording_to_cnf(h):
+        inputs.append(h)
+        return real_to_cnf(h)
+
+    monkeypatch.setattr(grammars, "to_cnf", recording_to_cnf)
+    v = decision.cfg_directed(g)
+    assert not v.directed and v.witness is not None
+    assert inputs.count(g) == 1
+    assert len(inputs) == 4  # the input, the ideal grammar, T_R and T_L images
+
+
+def test_cfg_inclusion_scan_budget(monkeypatch):
     g = grammars.parse_cfg(K1_TEXT)
-    with pytest.raises(ResourceCapExceeded):
-        decision.cfg_included_in_ideal(g, ideal_prog("c?"),
-                                       expand_cap=0, scan_budget=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(decision, "SCAN_BUDGET", 1)
+        with pytest.raises(ResourceCapExceeded):
+            decision.cfg_included_in_ideal(g, ideal_prog("c?"), expand_cap=0)
     # the same query answers fine on the compressed route with room to scan,
     # and its witness comes from the closure rather than the language
     inc = decision.cfg_included_in_ideal(g, ideal_prog("c?"), expand_cap=0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dirlang import grammars, ideals, oracle
+from dirlang import grammars, ideals, oracle, slp
 from dirlang.grammars import Nt
 
 from conftest import nonempty, random_cfg
@@ -149,33 +149,98 @@ def test_reduced_ideal_grammar_words_are_reduced():
     assert ideals.parse_rep("{a,b}* c? {a,b}*") in words
 
 
-def test_weight_table_k1_start_value():
+def test_max_weight_slp_k1_start_value():
     red = grammars.reduced_ideal_grammar(grammars.parse_cfg(K1_TEXT))
     m = 3 * 2 ** (2 * len(red.nonterminals))
-    table = grammars.weight_table(red, m)
-    assert table[red.start] == 2 * (m + 1) ** 2 + 1
+    value = tuple(slp.iter_val(slp.check_slp(grammars.max_weight_slp(red))))
+    assert ideals.weight(value, m) == 2 * (m + 1) ** 2 + 1
 
 
-def test_weight_table_rejects_growing_weights():
+def test_max_weight_slp_rejects_cyclic_grammar():
     a = ideals.parse_atom("a?")
     g = grammars.make_cfg([a], "S", [("S", (Nt("A"), Nt("A"))),
                                      ("A", (Nt("A"), Nt("A"))),
                                      ("A", (a,))])
-    with pytest.raises(ValueError, match="grow"):
-        grammars.weight_table(g, 5)
+    with pytest.raises(ValueError, match="cyclic"):
+        grammars.max_weight_slp(g)
 
 
-def test_extract_max_slp_matches_enumeration():
+def test_max_weight_slp_matches_enumeration():
     red = grammars.reduced_ideal_grammar(grammars.parse_cfg(K1_TEXT))
     m = 3 * 2 ** (2 * len(red.nonterminals))
-    table = grammars.weight_table(red, m)
-    program = grammars.extract_max_slp(red, table, m)
-    from dirlang import slp
+    program = grammars.max_weight_slp(red)
     got = tuple(slp.iter_val(slp.check_slp(program)))
     best = max(oracle.grammar_words(red, 6),
                key=lambda w: ideals.weight(w, m))
     assert ideals.weight(got, m) == ideals.weight(best, m)
     assert got == ideals.parse_rep("{a,b}* c? {a,b}*")
+
+
+ATOM_POOL = tuple(ideals.parse_atom(t) for t in (
+    "a?", "b?", "c?", "{a}*", "{b}*", "{a,b}*", "{a,c}*", "{a,b,c}*"))
+
+
+def random_acyclic_atom_cnf(rng):
+    """CNF over atoms: S, then N1..Nk, each body naming only later
+    nonterminals, so the grammar is acyclic; a nonterminal without a leaf
+    production may derive nothing."""
+    k = rng.randint(1, 4)
+    names = ["S"] + [f"N{i}" for i in range(1, k + 1)]
+    prods = []
+    for i, head in enumerate(names):
+        later = names[i + 1:]
+        for _ in range(rng.randint(0, 2)):
+            prods.append((head, (rng.choice(ATOM_POOL),)))
+        for _ in range(rng.randint(0, 3) if later else 0):
+            prods.append((head, (Nt(rng.choice(later)), Nt(rng.choice(later)))))
+    if rng.random() < 0.2:
+        prods.append(("S", ()))
+    return grammars.make_cfg(ATOM_POOL, "S", prods)
+
+
+def productive(g) -> set:
+    """Nonterminals deriving some word, by the textbook fixpoint."""
+    done: set = set()
+    while True:
+        new = {head for (head, body) in g.productions
+               if all(s.name in done for s in body if isinstance(s, Nt))}
+        if new <= done:
+            return done
+        done |= new
+
+
+def test_max_weight_slp_against_bruteforce():
+    rng = random.Random(2024)
+    empty = with_dead = 0
+    for _ in range(300):
+        g = random_acyclic_atom_cnf(rng)
+        g.check_cnf()
+        m = 3 * 2 ** (2 * len(g.nonterminals))
+        words = oracle.grammar_words(g, 2 ** (len(g.nonterminals) - 1))
+        with_dead += not productive(g) >= set(g.nonterminals)
+        if not words:
+            empty += 1
+            with pytest.raises(ValueError, match="derives no atom word"):
+                grammars.max_weight_slp(g)
+            continue
+        value = tuple(slp.iter_val(slp.check_slp(grammars.max_weight_slp(g))))
+        assert value in words, grammars.format_cfg(g)
+        assert ideals.weight(value, m) \
+            == max(ideals.weight(w, m) for w in words), grammars.format_cfg(g)
+    assert empty >= 10 and with_dead >= 50
+
+
+def test_max_weight_slp_deep_grammar():
+    # A0 -> Y A1 | Z, ..., A2999 -> Y A3000 | Z, A3000 -> Z: 3000 levels
+    y, z = ideals.parse_atom("{a,b}*"), ideals.parse_atom("a?")
+    depth = 3000
+    prods = [("Y", (y,)), ("Z", (z,)), (f"A{depth}", (z,))]
+    for i in range(depth):
+        prods += [(f"A{i}", (Nt("Y"), Nt(f"A{i + 1}"))), (f"A{i}", (z,))]
+    g = grammars.make_cfg([y, z], "A0", prods)
+    program = slp.check_slp(grammars.max_weight_slp(g))
+    assert slp.val_length(program) == depth + 1
+    assert tuple(slp.iter_val(program)) == (y,) * depth + (z,)
 
 
 def test_prefixed():

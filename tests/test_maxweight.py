@@ -17,10 +17,32 @@ def atom_nfa(n, finals, trans):
     return automata.make_nfa(alphabet, n, 0, finals, trans)
 
 
-def test_label_weight():
-    assert maxweight.label_weight(None, 10) == 0
-    assert maxweight.label_weight(A, 10) == 1
-    assert maxweight.label_weight(SAB, 10) == 121
+def walk(norm, choice, s):
+    """The rep read from state s along the pass's chosen edges."""
+    rep = []
+    while s != norm.final:
+        atoms, (s,) = norm.alternatives[s][choice[s]]
+        rep.extend(atoms)
+    return tuple(rep)
+
+
+def test_max_weights_orders_by_rank_histogram():
+    # one star of rank 3 outweighs any number of singles and smaller stars
+    alts = {"x": [((A,) * 5 + (SA,) * 5, ())], "y": [((SAB,), ())],
+            "z": [((), ("x",)), ((), ("y",)), ((B,), ("y",))],
+            "dead": [((A,), ("none",))], "none": []}
+    best, choice = maxweight.max_weights(["x", "y", "none", "dead", "z"], alts)
+    assert best["x"] == (0, 5, 5) and best["y"] == (1, 0, 0)
+    assert best["z"] == (1, 0, 1) and choice["z"] == 2
+    assert best["none"] is None and choice["none"] is None
+    assert best["dead"] is None and choice["dead"] is None
+
+
+def test_max_weights_first_of_equal_alternatives_wins():
+    alts = {"x": [((A,), ())], "y": [((B,), ())],
+            "z": [((), ("y",)), ((), ("x",)), ((B,), ())]}
+    best, choice = maxweight.max_weights(["x", "y", "z"], alts)
+    assert best["z"] == (1,) and choice["z"] == 0
 
 
 def test_normalize_shape():
@@ -30,7 +52,7 @@ def test_normalize_shape():
     assert norm.final == norm.m - 1
     # fresh final with an epsilon self-loop merged away or kept: the final
     # column must be reachable from every former final
-    path = maxweight.extract_canonical_path(norm, maxweight.suffix_maxima(norm))
+    path = maxweight.canonical_path(norm)
     assert path == (SAB,)  # heavier of the two parallel edges
 
 
@@ -57,25 +79,23 @@ def test_normalize_rejects_self_loop_beside_final_epsilon_loop():
         maxweight.normalize(a)
 
 
-def test_suffix_maxima_and_extraction_known_dag():
-    # diamond: the star path outweighs the two-singles path at any m >= 1
+def test_max_weights_and_extraction_known_dag():
+    # diamond: the star path outweighs the two-singles path
     a = atom_nfa(4, [3], [(0, A, 1), (1, B, 3), (0, SAB, 2), (2, None, 3)])
     norm = maxweight.normalize(a)
-    maxima = maxweight.suffix_maxima(norm)
-    assert maxima[norm.initial] == (norm.m + 1) ** 2
-    assert maxima[norm.final] == 0
-    rep = maxweight.extract_canonical_path(norm, maxima)
-    assert rep == (SAB,)
+    best, _ = maxweight.max_weights(range(norm.final, -1, -1), norm.alternatives)
+    assert best[norm.initial] == (1, 0)
+    assert best[norm.final] == (0, 0)
+    assert maxweight.canonical_path(norm) == (SAB,)
 
 
 def test_extraction_tie_breaks_deterministically():
     # two single-atom paths of equal weight: smallest successor index wins
     a = atom_nfa(4, [3], [(0, A, 1), (1, None, 3), (0, B, 2), (2, None, 3)])
     norm = maxweight.normalize(a)
-    rep = maxweight.extract_canonical_path(norm, maxweight.suffix_maxima(norm))
+    rep = maxweight.canonical_path(norm)
     assert rep in [(A,), (B,)]
-    again = maxweight.extract_canonical_path(norm, maxweight.suffix_maxima(norm))
-    assert rep == again
+    assert rep == maxweight.canonical_path(norm)
 
 
 def test_extraction_empty_language():
@@ -84,7 +104,7 @@ def test_extraction_empty_language():
         maxweight.normalize(automata.trim(a))
 
 
-def test_suffix_maxima_against_bruteforce_longest_path():
+def test_max_weights_against_bruteforce_longest_path():
     rng = random.Random(700)
     atoms = (A, B, SA, SAB, None)
     for n_max, t_max in [(6, 10)] * 80 + [(30, 60)] * 40:
@@ -98,21 +118,23 @@ def test_suffix_maxima_against_bruteforce_longest_path():
         if not automata.reaches_final(a):
             continue
         norm = maxweight.normalize(a)
-        maxima = maxweight.suffix_maxima(norm)
+        got, choice = maxweight.max_weights(range(norm.final, -1, -1),
+                                            norm.alternatives)
 
-        # brute force: max path weight from each state to the final,
+        # brute force: max mu_m path weight from each state to the final,
         # walking states in reverse topological order
         best = {norm.final: 0}
         for s in range(norm.m - 2, -1, -1):
-            got = None
+            top = None
             for ((p, q), x) in norm.edges.items():
                 if p == s and q in best:
-                    w = maxweight.label_weight(x, norm.m) + best[q]
-                    if got is None or w > got:
-                        got = w
-            if got is not None:
-                best[s] = got
-        assert maxima == tuple(best.get(s) for s in range(norm.m))
-        rep = maxweight.extract_canonical_path(norm, maxima)
-        assert sum(maxweight.label_weight(x, norm.m) for x in rep) \
-            == maxima[norm.initial]
+                    w = best[q] + (0 if x is None else ideals.weight((x,), norm.m))
+                    if top is None or w > top:
+                        top = w
+            if top is not None:
+                best[s] = top
+        for s in range(norm.m):
+            assert (got[s] is None) == (s not in best)
+            if s in best:
+                assert ideals.weight(walk(norm, choice, s), norm.m) == best[s]
+        assert maxweight.canonical_path(norm) == walk(norm, choice, norm.initial)
